@@ -128,8 +128,6 @@ class HistogramAlgorithm(ABC):
     driver-finish step.  The shared :meth:`run` driver wires up the runner,
     executes the plan sequentially, and assembles the result; the cluster
     scheduler executes the *same* plan concurrently with other jobs.
-    Out-of-tree algorithms may instead override :meth:`_execute` directly
-    (the pre-plan hook), at the price of not being schedulable concurrently.
     """
 
     name: str = "abstract"
@@ -144,25 +142,13 @@ class HistogramAlgorithm(ABC):
     def create_plan(self, input_path: str) -> JobPlan:
         """Declare the algorithm's rounds as a :class:`JobPlan` over ``input_path``.
 
-        All seven shipped algorithms implement this; the default raises so
-        legacy subclasses that only override :meth:`_execute` keep working on
-        the sequential path (and fail with a clear message if handed to the
-        cluster scheduler).
+        All seven shipped algorithms implement this; the default raises, so
+        a subclass that forgets it fails with a clear message.
         """
         raise PlanError(
             f"{type(self).__name__} does not declare a JobPlan; override "
-            f"create_plan() to make it schedulable, or run it sequentially "
-            f"(concurrent_jobs=1)"
+            f"create_plan() to run it"
         )
-
-    def _execute(self, runner: JobRunner, input_path: str) -> "ExecutionOutcome":
-        """Run the algorithm's MapReduce rounds and return coefficients + rounds.
-
-        The default executes :meth:`create_plan`'s stages sequentially through
-        the runner — the reference path the scheduler's concurrent execution
-        is bit-identical to.
-        """
-        return execute_plan(self.create_plan(input_path), runner)
 
     # ----------------------------------------------------------------- driver
     def run(
@@ -217,7 +203,9 @@ class HistogramAlgorithm(ABC):
                            data_plane=profile.data_plane,
                            zero_copy=profile.zero_copy,
                            telemetry=profile.telemetry)
-        outcome = self._execute(runner, input_path)
+        # The sequential reference path the scheduler's concurrent execution
+        # is bit-identical to.
+        outcome = execute_plan(self.create_plan(input_path), runner)
         result = self.assemble_result(outcome, profile)
         if store_value is not None:
             result.publish(store_value, name=store_name_value, seed=profile.seed)

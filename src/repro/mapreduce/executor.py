@@ -43,7 +43,6 @@ import logging
 import os
 import time
 from abc import ABC, abstractmethod
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -693,41 +692,48 @@ class _PoolTaskHandle(TaskHandle):
     retryable failure it resubmits the task (rebuilding a broken pool first)
     and reports the handle as still running; only success or a permanent
     failure completes it.  Retried results are bit-identical because the
-    attempt number never reaches the task's RNG key.
+    attempt number never reaches the task's RNG key.  This is the executor's
+    only retry path: :meth:`ParallelExecutor.run_tasks` drives a phase
+    through these handles too.
     """
 
     __slots__ = ("executor", "future", "attempt", "generation", "fault",
-                 "arena", "shipped", "_cancelled", "_final_error")
+                 "arena", "shipped", "_owns_arena", "_cancelled",
+                 "_final_error")
 
-    def __init__(self, executor: "ParallelExecutor", spec: TaskSpec) -> None:
+    def __init__(self, executor: "ParallelExecutor", spec: TaskSpec,
+                 arena: Optional[ShipmentArena] = None) -> None:
         super().__init__(spec)
         self.executor = executor
         self.attempt = 1
         self._cancelled = False
         self._final_error: Optional[BaseException] = None
-        # Per-handle shipment scope: the scheduler dispatches tasks one by
-        # one, so each handle owns the segments of its own spec and releases
-        # them on its terminal transition (or via executor.close()).
-        self.arena: Optional[ShipmentArena] = ShipmentArena()
+        # A phase passes its own arena, released at the phase barrier, so a
+        # buffer several of its tasks share ships once.  A task submitted on
+        # its own owns a private arena and releases it on its terminal
+        # transition (or via executor.close()).
+        self._owns_arena = arena is None
+        self.arena: Optional[ShipmentArena] = (
+            ShipmentArena() if arena is None else arena
+        )
         self.shipped = executor._ship_spec(spec, self.arena)
-        if self.shipped is None:
-            self.arena.release()
-            self.arena = None
-        else:
-            executor._live_arenas.add(self.arena)
+        if self._owns_arena:
+            if self.shipped is None:
+                self._release_shipment()
+            else:
+                executor._live_arenas.add(self.arena)
         self._submit()
 
     def _release_shipment(self) -> None:
         if self.arena is not None:
             arena, self.arena = self.arena, None
-            self.executor._live_arenas.discard(arena)
-            arena.release()
+            if self._owns_arena:
+                self.executor._live_arenas.discard(arena)
+                arena.release()
 
     def _submit(self) -> None:
         executor = self.executor
         self.fault = executor._draw_fault(self.spec, self.attempt, allow_kill=True)
-        if self.fault == KIND_WORKER_KILL:
-            executor._generation_kill_injected = True
         self.generation = executor._generation
         if self.shipped is not None and not (self.arena is None
                                              or self.arena.released):
@@ -751,6 +757,10 @@ class _PoolTaskHandle(TaskHandle):
             self.future = executor._ensure_pool().submit(
                 entry_point, argument, self.fault
             )
+        if self.fault == KIND_WORKER_KILL:
+            # Flag the generation the kill actually landed in, so a rebuild
+            # at submission cannot clear it.
+            executor._generation_kill_injected = True
 
     def completed(self) -> bool:
         if self._final_error is not None:
@@ -909,15 +919,6 @@ class Executor(ABC):
         """
         return [handle for handle in handles if handle.completed()]
 
-    def run_map_tasks(self, specs: Sequence[MapTaskSpec], slots: int) -> List[TaskResult]:
-        """Run one map phase."""
-        return self.run_tasks(specs, slots)
-
-    def run_reduce_tasks(self, specs: Sequence[ReduceTaskSpec],
-                         slots: int) -> List[TaskResult]:
-        """Run one reduce phase."""
-        return self.run_tasks(specs, slots)
-
     def close(self) -> None:
         """Release any resources (worker processes); the executor stays reusable."""
 
@@ -953,6 +954,10 @@ class ParallelExecutor(Executor):
         max_workers: worker processes to use; defaults to the machine's CPU
             count.  The effective concurrency of a phase is
             ``min(max_workers, slots, len(specs))``.
+
+    A phase runs through the same :class:`_PoolTaskHandle` objects that
+    :meth:`submit_task` returns, at most ``min(max_workers, slots)`` at a
+    time, so phases and scheduled tasks share one retry path.
 
     The pool is created lazily on first use and reused across jobs and rounds;
     worker start-up therefore amortises over a whole algorithm run.  The
@@ -1060,91 +1065,29 @@ class ParallelExecutor(Executor):
             return [self._run_inline(spec) for spec in specs]
         window = max(1, min(self.max_workers, slots))
         results: List[Optional[TaskResult]] = [None] * len(specs)
-        attempts = [1] * len(specs)
         # One shipment arena per phase: specs ship once (retries resubmit the
         # same shipped payload — the segments outlive every attempt) and the
         # arena unlinks everything at the phase barrier, in the finally below.
         arena = ShipmentArena()
-        shipped: List[Optional[ShippedTask]] = [None] * len(specs)
-        shipped_known = [False] * len(specs)
-        pending = deque(range(len(specs)))
-        in_flight: Dict[Any, Tuple[int, Optional[str]]] = {}
+        in_flight: Dict[_PoolTaskHandle, int] = {}
+
+        def collect() -> None:
+            for handle in self.wait_any(list(in_flight)):
+                results[in_flight.pop(handle)] = handle.result()
+
         try:
-            while pending or in_flight:
-                while pending and len(in_flight) < window:
-                    index = pending.popleft()
-                    fault = self._draw_fault(specs[index], attempts[index],
-                                             allow_kill=True)
-                    if fault == KIND_WORKER_KILL:
-                        self._generation_kill_injected = True
-                    if not shipped_known[index]:
-                        shipped[index] = self._ship_spec(specs[index], arena)
-                        shipped_known[index] = True
-                    try:
-                        if shipped[index] is not None:
-                            future = self._ensure_pool().submit(
-                                _execute_shipped_task, shipped[index], fault
-                            )
-                        else:
-                            future = self._ensure_pool().submit(
-                                _execute_faulted_task, specs[index], fault
-                            )
-                    except BrokenProcessPool:
-                        # The pool died between submissions (a sibling's
-                        # injected kill landing mid-phase): this attempt never
-                        # started, so requeue it uncharged and let the
-                        # in-flight futures drive the established recovery; if
-                        # nothing is in flight, rebuild here.
-                        pending.appendleft(index)
-                        if not in_flight:
-                            self._recover_pool(self._generation)
-                        break
-                    in_flight[future] = (index, fault)
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, fault = in_flight.pop(future)
-                    try:
-                        results[index] = future.result()
-                    except BrokenProcessPool as error:
-                        # The pool died: every in-flight task is lost.
-                        # Salvage siblings that already finished, rebuild the
-                        # pool, charge retry budgets (only tasks whose attempt
-                        # carried a kill directive when the break was
-                        # injected), and requeue the lost indices in order.
-                        lost = [(index, fault)]
-                        for other, (other_index, other_fault) in in_flight.items():
-                            if (other.done() and not other.cancelled()
-                                    and other.exception() is None):
-                                results[other_index] = other.result()
-                            else:
-                                lost.append((other_index, other_fault))
-                        in_flight.clear()
-                        self._recover_pool(self._generation)
-                        injected = self._last_break_injected
-                        for lost_index, lost_fault in sorted(lost):
-                            if lost_fault == KIND_WORKER_KILL or not injected:
-                                attempts[lost_index] = self._after_failure(
-                                    specs[lost_index], attempts[lost_index],
-                                    error,
-                                )
-                        for lost_index, _ in sorted(lost, reverse=True):
-                            pending.appendleft(lost_index)
-                        break
-                    except BaseException as error:
-                        policy = self.retry_policy
-                        if policy is not None and policy.is_retryable(error):
-                            attempts[index] = self._after_failure(
-                                specs[index], attempts[index], error
-                            )
-                            pending.appendleft(index)
-                        else:
-                            raise
+            for index, spec in enumerate(specs):
+                while len(in_flight) >= window:
+                    collect()
+                in_flight[_PoolTaskHandle(self, spec, arena)] = index
+            while in_flight:
+                collect()
         except BaseException as error:
             # A task failed for good (or the caller was interrupted): don't
             # leave the rest of the phase running in the pool behind our back.
-            for future in in_flight:
-                future.cancel()
-            wait(list(in_flight))
+            for handle in in_flight:
+                handle.cancel()
+            wait([handle.future for handle in in_flight])
             # Submit-side serialization failures (the spec never reached a
             # worker) get the shared diagnosis; anything else re-raises.
             translated = translate_task_failure(error, self)

@@ -256,11 +256,11 @@ class JobRunner:
                 declaration index so scheduled runs seed identically.
         """
         round_execution = self.begin_round(job, splits, round_number=round_number)
-        map_results = self._executor.run_map_tasks(
+        map_results = self._executor.run_tasks(
             round_execution.map_specs, slots=self._cluster.total_map_slots
         )
         reduce_specs = round_execution.complete_map_phase(map_results)
-        reduce_results = self._executor.run_reduce_tasks(
+        reduce_results = self._executor.run_tasks(
             reduce_specs, slots=self._cluster.total_reduce_slots
         )
         return round_execution.complete_reduce_phase(reduce_results)
@@ -426,7 +426,7 @@ class RoundExecution:
 
     Created by :meth:`JobRunner.begin_round` (which charges the side channels
     and builds the map specs).  The caller runs the map specs however it likes
-    — a blocking phase via :meth:`Executor.run_map_tasks`, or task by task
+    — a blocking phase via :meth:`Executor.run_tasks`, or task by task
     through the scheduler — and delivers the results **in task order** to
     :meth:`complete_map_phase`, which merges counters/state, shuffles, and
     returns the reduce specs; :meth:`complete_reduce_phase` closes the round.

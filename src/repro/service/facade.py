@@ -48,18 +48,17 @@ from repro.algorithms.base import AlgorithmResult, HistogramAlgorithm
 from repro.algorithms.registry import make_algorithm
 from repro.data.dataset import Dataset
 from repro.errors import InvalidParameterError
-from repro.mapreduce.executor import FunctionTaskSpec
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runtime import JobRunner
 from repro.mapreduce.scheduler import ClusterScheduler, SchedulerStats
 from repro.mapreduce.state import StateStore
-from repro.serving.server import QueryServer, evaluate_range_shard
+from repro.serving.server import QueryServer, fan_out_range_sums
 from repro.serving.store import SynopsisMetadata, SynopsisStore
 from repro.serving.workload import QueryWorkload
 from repro.service.profile import RuntimeProfile
 from repro.streaming.ingest import StreamIngestor
 from repro.streaming.maintain import SlidingWindowMaintainer, SynopsisMaintainer
-from repro.telemetry import active_telemetry, apply_task_metrics
+from repro.telemetry import active_telemetry
 
 __all__ = ["AlgorithmSpec", "BuildReport", "BuildRequest", "SynopsisService"]
 
@@ -376,12 +375,7 @@ class SynopsisService:
         if los.size == 0:
             return {name: np.zeros(0, dtype=np.float64) for name in names}
 
-        bounds = [
-            (start, min(start + self.shard_size, los.size))
-            for start in range(0, los.size, self.shard_size)
-        ]
-        specs: List[FunctionTaskSpec] = []
-        owners: List[str] = []
+        engines = []
         for name in names:  # name-major task order: the merge order
             engine = self.server.engine(
                 name, versions.get(name) if versions is not None else None
@@ -389,33 +383,21 @@ class SynopsisService:
             # Validate against this synopsis' domain up front, so a bad range
             # fails the whole batch before any task is dispatched.
             engine.validate_ranges(los, his)
-            indices, values = engine.coefficient_arrays()
-            for start, stop in bounds:
-                specs.append(FunctionTaskSpec(
-                    task_id=len(specs),
-                    function=evaluate_range_shard,
-                    payload=(engine.u, indices, values,
-                             los[start:stop], his[start:stop]),
-                    zero_copy=self.profile.zero_copy_enabled,
-                ))
-                owners.append(name)
+            engines.append(engine)
 
-        executor = self.profile.build_executor()
         telemetry = active_telemetry(self.profile.telemetry)
+        tasks = len(names) * -(-los.size // self.shard_size)
         logger.debug("fanning %d queries over %d synopses (%d tasks)",
-                     los.size, len(names), len(specs))
+                     los.size, len(names), tasks)
         with telemetry.tracer.span("service.fanout", kind="serving",
                                    synopses=len(names), queries=int(los.size),
-                                   tasks=len(specs)):
-            results = executor.run_tasks(specs, slots=len(specs))
-        # Per-shard timings ride each TaskResult as a metrics delta; replay
-        # them in task order (the same barrier discipline builds use).
-        apply_task_metrics(results, telemetry.metrics)
-
-        shards: Dict[str, List[np.ndarray]] = {name: [] for name in names}
-        for owner, task_result in zip(owners, results):  # spec order == task order
-            shards[owner].append(task_result.pairs[0][1])
-        answers = {name: np.concatenate(shards[name]) for name in names}
+                                   tasks=tasks):
+            results = fan_out_range_sums(
+                self.profile.build_executor(), engines, los, his,
+                self.shard_size, self.profile.zero_copy_enabled,
+                telemetry.metrics,
+            )
+        answers = dict(zip(names, results))
         self._fanout_queries += los.size * len(names)
         self._fanout_batches += 1
         registry = telemetry.metrics

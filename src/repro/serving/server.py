@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.mapreduce.serialization import zero_copy_default
 from repro.serving.engine import BatchQueryEngine, normalize_selectivities
 from repro.serving.store import StoredSynopsis, SynopsisStore
 from repro.serving.workload import QueryWorkload
-from repro.telemetry import apply_task_metrics, get_telemetry
+from repro.telemetry import MetricsRegistry, apply_task_metrics, get_telemetry
 
 __all__ = ["QueryServer", "evaluate_range_shard"]
 
@@ -60,12 +60,50 @@ def evaluate_range_shard(payload: Tuple[int, np.ndarray, np.ndarray, np.ndarray,
 
     Module-level (picklable) so a ParallelExecutor can ship it to worker
     processes; rebuilds a cache-less engine from the coefficient arrays and
-    evaluates its slice of the batch.  Shared by :class:`QueryServer`'s
-    single-synopsis sharding and the service façade's multi-synopsis fan-out.
+    evaluates its slice of the batch.  The task function of
+    :func:`fan_out_range_sums`.
     """
     u, indices, values, los, his = payload
     engine = BatchQueryEngine.from_arrays(u, indices, values)
     return engine.range_sum_many(los, his)
+
+
+def fan_out_range_sums(
+    executor: Executor,
+    engines: Sequence[BatchQueryEngine],
+    los: np.ndarray,
+    his: np.ndarray,
+    shard_size: int,
+    zero_copy: bool,
+    metrics: Optional[MetricsRegistry],
+) -> List[np.ndarray]:
+    """Evaluate one range-sum batch against every engine as one executor phase.
+
+    The batch is cut into at-most-``shard_size`` slices, and every (engine,
+    slice) pair runs as one :func:`evaluate_range_shard` task, engine-major.
+    The tasks' metrics deltas are replayed into ``metrics`` in task order,
+    the same barrier discipline the runtime uses.  Returns one answer vector
+    per engine, in ``engines`` order; the answers do not depend on the
+    executor.
+    """
+    bounds = [(start, min(start + shard_size, los.size))
+              for start in range(0, los.size, shard_size)]
+    specs: List[FunctionTaskSpec] = []
+    for engine in engines:
+        indices, values = engine.coefficient_arrays()
+        for start, stop in bounds:
+            specs.append(FunctionTaskSpec(
+                task_id=len(specs),
+                function=evaluate_range_shard,
+                payload=(engine.u, indices, values,
+                         los[start:stop], his[start:stop]),
+                zero_copy=zero_copy,
+            ))
+    task_results = executor.run_tasks(specs, slots=len(specs))
+    apply_task_metrics(task_results, metrics)
+    shards = [result.pairs[0][1] for result in task_results]
+    return [np.concatenate(shards[offset:offset + len(bounds)])
+            for offset in range(0, len(shards), len(bounds))]
 
 
 class QueryServer:
@@ -318,31 +356,16 @@ class QueryServer:
     def _sharded_range_sums(
         self, engine: BatchQueryEngine, los: np.ndarray, his: np.ndarray
     ) -> np.ndarray:
-        indices, values = engine.coefficient_arrays()
+        assert self.executor is not None
         num_shards = -(-los.size // self.shard_size)  # ceil division
-        bounds = [
-            (shard * self.shard_size, min((shard + 1) * self.shard_size, los.size))
-            for shard in range(num_shards)
-        ]
         zero_copy = (zero_copy_default() if self.zero_copy is None
                      else bool(self.zero_copy))
-        specs = [
-            FunctionTaskSpec(
-                task_id=shard,
-                function=evaluate_range_shard,
-                payload=(engine.u, indices, values, los[start:stop], his[start:stop]),
-                zero_copy=zero_copy,
-            )
-            for shard, (start, stop) in enumerate(bounds)
-        ]
-        assert self.executor is not None
         telemetry = get_telemetry()
         logger.debug("sharding %d queries into %d shard(s)", los.size, num_shards)
         with telemetry.tracer.span("server.fanout", kind="serving",
                                    queries=int(los.size), shards=num_shards):
-            task_results = self.executor.run_tasks(specs, slots=num_shards)
-        # Shard timings ride each TaskResult as a metrics delta; replay them
-        # in task order, the same barrier discipline the runtime uses.
-        apply_task_metrics(task_results, telemetry.metrics)
-        results: List[np.ndarray] = [result.pairs[0][1] for result in task_results]
-        return np.concatenate(results)
+            (results,) = fan_out_range_sums(
+                self.executor, [engine], los, his, self.shard_size,
+                zero_copy, telemetry.metrics,
+            )
+        return results

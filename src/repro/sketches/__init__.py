@@ -2,13 +2,10 @@
 
 The paper compares against sketch-based wavelet maintenance: the AMS sketch of
 Gilbert et al. [20] and the Group-Count Sketch (GCS) of Cormode et al. [13],
-choosing GCS as the stronger baseline.  Both are implemented here from
-scratch:
+choosing GCS as the stronger baseline.  GCS is implemented here from scratch:
 
 * :mod:`repro.sketches.hashing` — 2-wise and 4-wise independent hash families
   over a Mersenne-prime field;
-* :mod:`repro.sketches.ams` — the AMS / tug-of-war sketch (a Count-Sketch
-  style estimator for individual wavelet coefficients);
 * :mod:`repro.sketches.gcs` — the Group-Count Sketch plus the hierarchical
   group-testing search used to extract large coefficients without enumerating
   the whole domain.
@@ -17,13 +14,11 @@ All sketches are *linear*: sketches of different splits can be merged entry-
 wise, which is what the Send-Sketch reducer does.
 """
 
-from repro.sketches.ams import AmsSketch
 from repro.sketches.gcs import GroupCountSketch, HierarchicalGcs
 from repro.sketches.hashing import FourWiseHash, PairwiseHash, PolynomialHash
 from repro.sketches.wavelet import WaveletGcsSketch
 
 __all__ = [
-    "AmsSketch",
     "GroupCountSketch",
     "HierarchicalGcs",
     "FourWiseHash",

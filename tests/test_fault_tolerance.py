@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import glob
 import os
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ EPSILON = 0.05
 # rate=1.0 faults every eligible attempt (draws are in [0, 1), always below
 # the rate), making the forced-failure tests fully deterministic.
 ALWAYS = 1.0
+
+
+def _slow_abs(value):
+    """Module-level (picklable) task body that is still running when a
+    sibling's injected kill takes the pool down."""
+    time.sleep(0.2)
+    return abs(value)
 
 
 def _cluster(dataset):
@@ -254,6 +262,39 @@ class TestWorkerKillRecovery:
             assert results[0].pairs[0][1] == 9
         finally:
             executor.close()
+
+    @pytest.mark.parametrize("drive", ["run_tasks", "handles"])
+    def test_bystanders_of_an_injected_kill_are_not_charged(self, drive):
+        # Only task 1 carries a kill directive; the siblings it takes down
+        # with the pool (task 0 is still sleeping when the kill lands)
+        # resubmit uncharged, so exactly one retry is booked.
+        executor = ParallelExecutor(
+            max_workers=2,
+            retry_policy=RetryPolicy(max_attempts=2),
+            fault_injector=FaultInjector(
+                rate=ALWAYS, seed=5, kill_fraction=1.0, max_faults_per_task=1,
+                selector=lambda spec: spec.task_id == 1),
+        )
+        specs = [FunctionTaskSpec(task_id=i, function=_slow_abs, payload=-i)
+                 for i in range(4)]
+        before = get_telemetry().metrics.counter_value(
+            "repro_task_retries_total", phase="function", reason="worker-died")
+        try:
+            if drive == "run_tasks":
+                results = executor.run_tasks(specs, slots=4)
+            else:
+                handles = [executor.submit_task(spec) for spec in specs]
+                pending = list(handles)
+                while pending:
+                    done = executor.wait_any(pending)
+                    pending = [h for h in pending if h not in done]
+                results = [handle.result() for handle in handles]
+        finally:
+            executor.close()
+        assert [result.pairs[0][1] for result in results] == [0, 1, 2, 3]
+        after = get_telemetry().metrics.counter_value(
+            "repro_task_retries_total", phase="function", reason="worker-died")
+        assert after - before == 1
 
 
 class TestJobFailureIsolation:

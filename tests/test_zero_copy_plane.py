@@ -274,6 +274,26 @@ class TestSegmentLifecycle:
         # The already-submitted task still ran to completion before shutdown.
         assert handle.result().pairs[0][1] == 0.0
 
+    def test_buffer_shared_across_a_phase_ships_once(self):
+        shared = np.arange(65536, dtype=np.int64)  # 512 KiB
+        specs = [FunctionTaskSpec(task_id=index, function=_payload_sum,
+                                  payload=shared, zero_copy=True)
+                 for index in range(6)]
+        metrics = get_telemetry().metrics
+        before = metrics.counter_value("repro_task_ship_bytes_total",
+                                       phase="function", mode="out-of-band")
+        executor = ParallelExecutor(max_workers=2)
+        try:
+            results = executor.run_tasks(specs, slots=6)
+        finally:
+            executor.close()
+        assert [result.pairs[0][1] for result in results] == [
+            float(shared.sum())] * 6
+        after = metrics.counter_value("repro_task_ship_bytes_total",
+                                      phase="function", mode="out-of-band")
+        assert after - before == shared.nbytes
+        assert live_shipment_segments() == ()
+
     def test_failed_phase_unlinks_segments(self):
         executor = ParallelExecutor(
             max_workers=2,
