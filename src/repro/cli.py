@@ -454,9 +454,9 @@ def _run_compare(arguments: argparse.Namespace) -> List[str]:
     cluster = config.build_cluster(dataset)
     reference = dataset.frequency_vector()
     ideal_sse = WaveletHistogram.from_frequency_vector(reference, config.k).sse(reference)
-    measurements = run_algorithms(dataset, standard_algorithms(config), cluster,
+    measurements = run_algorithms(dataset, standard_algorithms(config),
                                   reference=reference,
-                                  profile=config.build_profile())
+                                  profile=config.build_profile(cluster))
     lines = [
         f"workload: n={dataset.n} u=2^{config.u.bit_length() - 1} alpha={config.alpha} "
         f"k={config.k} eps={config.epsilon} (~{config.target_splits} splits, "
@@ -503,15 +503,13 @@ def _run_build(arguments: argparse.Namespace) -> List[str]:
     algorithm = _build_algorithm(arguments.algorithm, config)
     profile = config.build_profile(config.build_cluster(dataset))
     service = SynopsisService(store=config.build_store(), profile=profile)
-    if profile.concurrent_jobs > 1:
-        # Route the single build through the scheduler batch so the slot
-        # pool statistics are observable (results are bit-identical).
-        report = service.build_many([(algorithm, dataset, arguments.name)])[0]
-        if not report.ok:
-            raise SchedulerError(f"build of {arguments.algorithm!r} failed: "
-                                 f"{report.error}")
-    else:
-        report = service.build(algorithm, dataset, name=arguments.name)
+    # build_many schedules whenever the profile allows concurrent jobs, so
+    # the slot pool statistics stay observable for a single build too
+    # (results are bit-identical to a sequential build).
+    report = service.build_many([(algorithm, dataset, arguments.name)])[0]
+    if not report.ok:
+        raise SchedulerError(f"build of {arguments.algorithm!r} failed: "
+                             f"{report.error}")
     result = report.result
     lines = [
         f"built {result.algorithm} over n={dataset.n} u=2^{config.u.bit_length() - 1} "

@@ -29,12 +29,6 @@ from repro.data.generators import ZipfDatasetGenerator
 from repro.data.worldcup import WorldCupLikeGenerator
 from repro.errors import InvalidParameterError
 from repro.mapreduce.cluster import ClusterSpec, MachineSpec, paper_cluster
-from repro.mapreduce.executor import (
-    DATA_PLANE_NAMES,
-    EXECUTOR_NAMES,
-    Executor,
-    shared_executor,
-)
 from repro.service.profile import RuntimeProfile
 from repro.serving.store import SynopsisStore
 from repro.serving.workload import MIX_NAMES, QueryWorkload, WorkloadGenerator
@@ -123,22 +117,8 @@ class ExperimentConfig:
             raise InvalidParameterError("n and target_splits must be positive")
         if self.epsilon <= 0:
             raise InvalidParameterError("epsilon must be positive")
-        if self.executor not in EXECUTOR_NAMES:
-            raise InvalidParameterError(
-                f"executor must be one of {EXECUTOR_NAMES}, got {self.executor!r}"
-            )
-        if self.data_plane not in DATA_PLANE_NAMES:
-            raise InvalidParameterError(
-                f"data_plane must be one of {DATA_PLANE_NAMES}, got {self.data_plane!r}"
-            )
-        if self.concurrent_jobs < 1:
-            raise InvalidParameterError(
-                f"concurrent_jobs must be >= 1, got {self.concurrent_jobs}"
-            )
-        if not 0.0 <= self.fault_rate < 1.0:
-            raise InvalidParameterError(
-                f"fault_rate must be in [0, 1), got {self.fault_rate}"
-            )
+        # The runtime fields are validated where they are consumed.
+        self.build_profile()
         if self.query_mix not in MIX_NAMES:
             raise InvalidParameterError(
                 f"query_mix must be one of {MIX_NAMES}, got {self.query_mix!r}"
@@ -148,23 +128,13 @@ class ExperimentConfig:
         if self.query_cache_size < 0:
             raise InvalidParameterError("query_cache_size must be >= 0")
 
-    def build_executor(self) -> Executor:
-        """Return the (process-wide shared) executor this configuration selects.
-
-        Sharing means sweeps reuse one worker pool instead of forking a fresh
-        pool per figure point.
-        """
-        return shared_executor(self.executor, self.workers,
-                               fault_rate=self.fault_rate,
-                               fault_seed=self.fault_seed)
-
     def build_profile(self, cluster: Optional[ClusterSpec] = None) -> RuntimeProfile:
         """The :class:`~repro.service.profile.RuntimeProfile` this configuration selects.
 
-        Bundles the configuration's seed, executor spec and data plane (plus
-        an optional per-call cluster) into the one value the profile-aware
-        entry points — ``HistogramAlgorithm.run``, ``run_algorithms``, the
-        service façade — consume.
+        Bundles the configuration's runtime fields (plus an optional per-call
+        cluster) into the one value every build entry point —
+        ``HistogramAlgorithm.run``, ``run_algorithms``, the service façade —
+        consumes.  Sweeps that reuse one configuration share one executor.
         """
         return RuntimeProfile(
             cluster=cluster,

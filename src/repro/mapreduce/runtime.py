@@ -156,19 +156,19 @@ class JobRunner:
         self._round_counter = 0
 
     @classmethod
-    def from_profile(cls, hdfs: HDFS, profile: "RuntimeProfile",
-                     state_store: Optional[StateStore] = None) -> "JobRunner":
+    def from_profile(cls, hdfs: HDFS, profile: "RuntimeProfile") -> "JobRunner":
         """A runner configured by a :class:`~repro.service.profile.RuntimeProfile`.
 
-        The profile carries the cluster, seed, executor spec and data plane;
-        this is the construction path every profile-aware entry point
-        (``HistogramAlgorithm.run``, the experiment harness, the service
-        façade) funnels through, so runner wiring cannot drift between them.
+        Every build entry point — ``HistogramAlgorithm.run`` and the scheduled
+        batches of ``run_algorithms`` and ``SynopsisService.build_many`` —
+        builds its runners here, so runner wiring cannot drift between them.
+        Each runner gets a fresh state store; named executors resolve through
+        the process-wide shared table, so one profile drives one executor
+        across a whole batch.
         """
         return cls(
             hdfs,
             cluster=profile.resolved_cluster(),
-            state_store=state_store,
             seed=profile.seed,
             executor=profile.build_executor(),
             data_plane=profile.data_plane,

@@ -4,15 +4,18 @@ Three first-class objects separate the concerns every entry point used to
 re-plumb by hand:
 
 * :class:`~repro.service.profile.RuntimeProfile` — *how to run*: cluster,
-  cost parameters, seed, executor spec, data plane, as one frozen value.
-  ``HistogramAlgorithm.run(hdfs, input_path, profile=...)`` is the primary
-  build signature (the old loose kwargs survive as a deprecated shim).
+  cost parameters, seed, executor spec, data plane, batch concurrency, fault
+  injection, shipping and telemetry, as one frozen value.  It is the only
+  way to configure a build: ``HistogramAlgorithm.run(hdfs, input_path,
+  profile)``, ``run_algorithms(..., profile=...)`` and the façade's
+  ``build``/``build_many`` take nothing else for these settings.
 * the algorithm registry (:mod:`repro.algorithms.registry`) — *what to
   build*: ``make_algorithm(name, u=..., k=..., **params)`` resolves any of
   the paper's seven algorithms (or a registered extension) by name.
 * :class:`~repro.service.facade.SynopsisService` — *where it lives and how
   it serves*: ``build(spec, dataset, profile)`` publishes a stored version
-  to any :class:`~repro.serving.store.SynopsisStore` backend, and
+  to any :class:`~repro.serving.store.SynopsisStore` backend,
+  ``build_many(requests, profile)`` publishes a scheduled batch, and
   ``query(names, los, his)`` fans one workload across many stored synopses
   with deterministic, executor- and backend-independent answers.
 

@@ -40,18 +40,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmResult, HistogramAlgorithm
+from repro.algorithms.base import AlgorithmResult, HistogramAlgorithm, run_scheduled_builds
 from repro.algorithms.registry import make_algorithm
 from repro.data.dataset import Dataset
 from repro.errors import InvalidParameterError
 from repro.mapreduce.hdfs import HDFS
-from repro.mapreduce.runtime import JobRunner
-from repro.mapreduce.scheduler import ClusterScheduler, SchedulerStats
-from repro.mapreduce.state import StateStore
+from repro.mapreduce.scheduler import SchedulerStats
 from repro.serving.server import QueryServer, fan_out_range_sums
 from repro.serving.store import SynopsisMetadata, SynopsisStore
 from repro.serving.workload import QueryWorkload
@@ -94,6 +92,16 @@ class AlgorithmSpec:
             )
         return make_algorithm(self.name, u=domain, k=self.k,
                               **dict(self.parameters))
+
+
+def _resolve_algorithm(algorithm: Union[HistogramAlgorithm, AlgorithmSpec, str],
+                       dataset: Dataset) -> HistogramAlgorithm:
+    """A builder from a request's algorithm field (spec defaults for a name)."""
+    if isinstance(algorithm, str):
+        algorithm = AlgorithmSpec(algorithm)
+    if isinstance(algorithm, AlgorithmSpec):
+        algorithm = algorithm.create(default_u=dataset.u)
+    return algorithm
 
 
 @dataclass(frozen=True)
@@ -213,10 +221,7 @@ class SynopsisService:
             full :class:`~repro.algorithms.base.AlgorithmResult`.
         """
         profile = profile if profile is not None else self.profile
-        if isinstance(algorithm, str):
-            algorithm = AlgorithmSpec(algorithm)
-        if isinstance(algorithm, AlgorithmSpec):
-            algorithm = algorithm.create(default_u=dataset.u)
+        algorithm = _resolve_algorithm(algorithm, dataset)
         hdfs = HDFS()
         dataset.to_hdfs(hdfs, SERVICE_INPUT_PATH)
         result = algorithm.run(hdfs, SERVICE_INPUT_PATH, profile=profile)
@@ -230,26 +235,24 @@ class SynopsisService:
         self,
         requests: Sequence[Union[BuildRequest, tuple]],
         profile: Optional[RuntimeProfile] = None,
-        *,
-        concurrent_jobs: Optional[int] = None,
     ) -> List[BuildReport]:
         """Build a batch of synopses through a concurrent build queue.
 
-        Every request's :class:`~repro.mapreduce.plan.JobPlan` is admitted to
-        one :class:`~repro.mapreduce.scheduler.ClusterScheduler`, so the
-        builds' map and reduce tasks interleave on the cluster's shared slot
-        pool — up to ``concurrent_jobs`` builds in flight at once (the
-        profile's ``concurrent_jobs`` when omitted; 1 falls back to strictly
-        sequential ``build`` calls).  Scheduling never changes results: each
-        build's stored payload — and therefore its checksum — is bit-identical
-        to a sequential ``build`` of the same request, and versions are
-        published in request order whatever order the builds finished in.
+        With ``profile.concurrent_jobs > 1`` every request's
+        :class:`~repro.mapreduce.plan.JobPlan` joins one scheduled batch
+        (:func:`~repro.algorithms.base.run_scheduled_builds`), so the builds'
+        map and reduce tasks interleave on the cluster's shared slot pool
+        with up to ``concurrent_jobs`` builds in flight; with 1 the requests
+        run as sequential ``build`` calls.  Scheduling never changes results:
+        each build's stored payload — and therefore its checksum — is
+        bit-identical to a sequential ``build`` of the same request, and
+        versions are published in request order whatever order the builds
+        finished in.
 
         Args:
             requests: :class:`BuildRequest` entries (or ``(algorithm,
                 dataset)`` / ``(algorithm, dataset, name)`` tuples).
             profile: how to run the batch; the service's default when omitted.
-            concurrent_jobs: admission bound override.
 
         Returns:
             One :class:`BuildReport` per request, in request order.
@@ -266,55 +269,31 @@ class SynopsisService:
                     f"build_many expects BuildRequest entries or (algorithm, "
                     f"dataset[, name]) tuples, got {request!r}"
                 )
-        jobs_in_flight = (concurrent_jobs if concurrent_jobs is not None
-                          else profile.concurrent_jobs)
-        if jobs_in_flight < 1:
-            raise InvalidParameterError(
-                f"concurrent_jobs must be >= 1, got {jobs_in_flight}"
-            )
-        if jobs_in_flight == 1 or not normalized:
+        if profile.concurrent_jobs == 1:
             return [self.build(request.algorithm, request.dataset, profile,
                                name=request.name) for request in normalized]
 
-        cluster = profile.resolved_cluster()
-        executor = profile.build_executor()
-        entries = []
-        algorithms: List[HistogramAlgorithm] = []
+        builds = []
         for request in normalized:
-            algorithm = request.algorithm
-            if isinstance(algorithm, str):
-                algorithm = AlgorithmSpec(algorithm)
-            if isinstance(algorithm, AlgorithmSpec):
-                algorithm = algorithm.create(default_u=request.dataset.u)
             hdfs = HDFS()
             request.dataset.to_hdfs(hdfs, SERVICE_INPUT_PATH)
-            runner = JobRunner(hdfs, cluster=cluster, state_store=StateStore(),
-                               seed=profile.seed, executor=executor,
-                               data_plane=profile.data_plane,
-                               zero_copy=profile.zero_copy,
-                               telemetry=profile.telemetry)
-            entries.append((algorithm.create_plan(SERVICE_INPUT_PATH), runner))
-            algorithms.append(algorithm)
-
+            builds.append((_resolve_algorithm(request.algorithm, request.dataset),
+                           hdfs, SERVICE_INPUT_PATH))
         telemetry = active_telemetry(profile.telemetry)
         logger.debug("scheduling %d build(s), %d in flight",
-                     len(entries), jobs_in_flight)
-        scheduler = ClusterScheduler.for_cluster(
-            cluster, executor, max_concurrent_jobs=jobs_in_flight,
-            telemetry=profile.telemetry)
+                     len(builds), profile.concurrent_jobs)
         with telemetry.tracer.span("service.build_many", kind="serving",
-                                   builds=len(entries), jobs=jobs_in_flight):
-            outcomes = scheduler.run(entries)
-        stats = scheduler.last_stats
+                                   builds=len(builds), jobs=profile.concurrent_jobs):
+            results, stats = run_scheduled_builds(builds, profile)
 
         reports: List[BuildReport] = []
         # Publish in request order so store versioning is deterministic.  A
-        # request whose plan failed permanently has a None outcome: it
-        # publishes nothing and surfaces the scheduler's per-job error, while
-        # sibling requests publish bit-identical to solo builds.
-        for index, (request, algorithm, outcome) in enumerate(
-                zip(normalized, algorithms, outcomes)):
-            if outcome is None:
+        # request whose plan failed permanently has no result: it publishes
+        # nothing and surfaces the scheduler's per-job error, while sibling
+        # requests publish bit-identical to solo builds.
+        for index, (request, (algorithm, _, _), result) in enumerate(
+                zip(normalized, builds, results)):
+            if result is None:
                 error = stats.job_errors.get(
                     index, "build failed with no recorded error")
                 logger.warning("build_many request %d (%s) failed: %s",
@@ -322,7 +301,6 @@ class SynopsisService:
                 reports.append(BuildReport(metadata=None, result=None,
                                            scheduler_stats=stats, error=error))
                 continue
-            result = algorithm.assemble_result(outcome, profile)
             metadata = result.publish(
                 self.store, name=request.name, seed=profile.seed,
                 extra_build={"dataset": request.dataset.name},

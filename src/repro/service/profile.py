@@ -1,11 +1,13 @@
 """The :class:`RuntimeProfile` value object: *how* to run a build.
 
-Before this module existed, every entry point re-plumbed the same bundle of
-orthogonal knobs by hand — ``HistogramAlgorithm.run(hdfs, input_path, cluster,
-cost_parameters, seed, executor, data_plane, ...)`` — and every new runtime
-option meant touching the CLI, the experiment harness, the figure drivers and
-every example.  A :class:`RuntimeProfile` packages those knobs into one frozen,
-reusable value:
+A profile is the one way to say how a build runs.  Every build entry point —
+:meth:`HistogramAlgorithm.run <repro.algorithms.base.HistogramAlgorithm.run>`,
+:func:`~repro.experiments.runner.run_algorithms` and
+:class:`~repro.service.facade.SynopsisService`'s ``build``/``build_many`` —
+takes a profile and nothing else for these settings, and every runner they
+drive is built by :meth:`JobRunner.from_profile
+<repro.mapreduce.runtime.JobRunner.from_profile>`, so a field added here
+reaches every entry point at once.  The fields:
 
 * **cluster** — the simulated cluster the MapReduce rounds are priced against
   (the paper's 16-node cluster when omitted);
@@ -15,19 +17,24 @@ reusable value:
   (``"serial"`` or ``"parallel"``, resolved through the process-wide shared
   pool) or an already-constructed :class:`~repro.mapreduce.executor.Executor`;
 * **data_plane** — ``"batch"`` (columnar fast path) or ``"records"``
-  (reference path).
+  (reference path);
+* **concurrent_jobs** — how many builds of a batch share the cluster's slot
+  pool at once (1 runs a batch sequentially);
+* **fault_rate** / **fault_seed** — injected transient task faults;
+* **zero_copy** — out-of-band shipping of task specs to parallel workers;
+* **telemetry** — where the build's metrics and spans land.
 
 Profiles are immutable; derive variants with :meth:`with_overrides`.  Because
-executors, data planes and seeds are all result-preserving by construction,
-two runs that differ only in their profile's *execution* fields (executor,
-workers, data_plane) are bit-identical — the profile changes how fast the
+executors, data planes, scheduling, fault injection, shipping and telemetry
+are all result-preserving by construction, two runs that differ only in
+those *execution* fields are bit-identical — the profile changes how fast the
 answer arrives, never what it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.cost.model import CostParameters
 from repro.errors import InvalidParameterError
@@ -40,11 +47,6 @@ from repro.mapreduce.executor import (
 )
 from repro.mapreduce.serialization import zero_copy_default
 from repro.telemetry import Telemetry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mapreduce.hdfs import HDFS
-    from repro.mapreduce.runtime import JobRunner
-    from repro.mapreduce.state import StateStore
 
 __all__ = ["RuntimeProfile"]
 
@@ -171,13 +173,6 @@ class RuntimeProfile:
     def resolved_cluster(self) -> ClusterSpec:
         """The cluster to run against (the paper's cluster when unset)."""
         return self.cluster if self.cluster is not None else paper_cluster()
-
-    def create_runner(self, hdfs: "HDFS",
-                      state_store: Optional["StateStore"] = None) -> "JobRunner":
-        """A :class:`~repro.mapreduce.runtime.JobRunner` configured by this profile."""
-        from repro.mapreduce.runtime import JobRunner
-
-        return JobRunner.from_profile(hdfs, self, state_store=state_store)
 
     # -------------------------------------------------------------- variation
     def with_overrides(self, **changes: Any) -> "RuntimeProfile":

@@ -2,29 +2,18 @@
 
 The paper's exact algorithm H-WTopk is a three-round adaptation of TPUT
 [Cao & Wang, PODC'04] that copes with *signed* scores and ranks by absolute
-value.  Two in-memory reference implementations live here:
+value.  The MapReduce driver (:mod:`repro.algorithms.hwtopk`) runs the rounds;
+this package holds the two pure threshold functions it shares with them:
 
-* :mod:`repro.topk.tput` — classic TPUT for non-negative scores;
-* :mod:`repro.topk.signed_tput` — the paper's modified algorithm (Section 3),
-  exposing both a one-call reference implementation and the per-round
-  threshold computations that the MapReduce H-WTopk reducer reuses.
-
-Both track per-round communication (number of item/score pairs exchanged) so
-tests can verify the pruning behaviour the paper relies on.
+* :func:`~repro.topk.tput.kth_largest` — TPUT's ``k``-th largest threshold;
+* :func:`~repro.topk.signed_tput.magnitude_lower_bound` — the signed
+  variant's lower bound on ``|aggregate|`` from an upper and a lower bound.
 """
 
-from repro.topk.tput import TputResult, kth_largest, tput_topk
-from repro.topk.signed_tput import (
-    SignedTputResult,
-    signed_tput_topk,
-    magnitude_lower_bound,
-)
+from repro.topk.signed_tput import magnitude_lower_bound
+from repro.topk.tput import kth_largest
 
 __all__ = [
-    "TputResult",
-    "tput_topk",
-    "SignedTputResult",
-    "signed_tput_topk",
     "magnitude_lower_bound",
     "kth_largest",
 ]

@@ -26,22 +26,17 @@ Round 3
     Exact scores of the surviving candidates are fetched and the exact
     top-``k`` by magnitude is returned.
 
-This module provides an in-memory reference implementation (used directly for
-testing and as the engine behind the MapReduce H-WTopk driver's correctness
-checks) plus the small pure functions shared with the MapReduce reducer.
+The MapReduce H-WTopk driver (:mod:`repro.algorithms.hwtopk`) runs these
+rounds as jobs; this module holds the bound it shares with them,
+:func:`magnitude_lower_bound`.  H-WTopk's exactness is checked against
+Send-V's full reconstruction in the exact-algorithm tests.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
-
-from repro.core.topk_coefficients import bottom_k_items, top_k_items
 from repro.errors import InvalidParameterError
-from repro.topk.tput import kth_largest
 
-__all__ = ["SignedTputResult", "signed_tput_topk", "magnitude_lower_bound"]
+__all__ = ["magnitude_lower_bound"]
 
 
 def magnitude_lower_bound(tau_plus: float, tau_minus: float) -> float:
@@ -65,138 +60,3 @@ def magnitude_lower_bound(tau_plus: float, tau_minus: float) -> float:
     if (tau_plus >= 0) != (tau_minus >= 0):
         return 0.0
     return min(abs(tau_plus), abs(tau_minus))
-
-
-@dataclass
-class SignedTputResult:
-    """Result of a signed-TPUT run.
-
-    Attributes:
-        top_k: the exact top-``k`` items by aggregate magnitude.
-        thresholds: ``(T1, T2)`` pruning thresholds.
-        pairs_sent_per_round: (item, score) pairs sent to the coordinator per round.
-        candidate_set_size: size of the candidate set ``R`` entering round 3.
-    """
-
-    top_k: Dict[int, float]
-    thresholds: Tuple[float, float]
-    pairs_sent_per_round: List[int] = field(default_factory=list)
-    candidate_set_size: int = 0
-
-    @property
-    def total_pairs_sent(self) -> int:
-        """Total communication in pairs across all rounds."""
-        return sum(self.pairs_sent_per_round)
-
-
-def signed_tput_topk(
-    node_scores: Sequence[Mapping[int, float]], k: int
-) -> SignedTputResult:
-    """Run the paper's three-round signed top-k algorithm over in-memory score maps.
-
-    Args:
-        node_scores: one mapping of item to local (signed) score per node;
-            absent items score zero.
-        k: number of items of largest aggregate magnitude to return.
-    """
-    if k < 1:
-        raise InvalidParameterError(f"k must be positive, got {k}")
-    if not node_scores:
-        raise InvalidParameterError("need at least one node")
-    num_nodes = len(node_scores)
-    pairs_per_round: List[int] = []
-
-    # ------------------------------------------------------------- Round 1
-    reported: Dict[int, Dict[int, float]] = {}
-    sent_by_node: List[Set[int]] = [set() for _ in range(num_nodes)]
-    kth_highest: List[float] = [0.0] * num_nodes
-    kth_lowest: List[float] = [0.0] * num_nodes
-    round1_pairs = 0
-    for node_index, scores in enumerate(node_scores):
-        top = top_k_items(scores, k)
-        bottom = bottom_k_items(scores, k)
-        # Conceptually every node scores the whole domain, with absent items
-        # scoring 0.  An unsent *present* item is bounded by the k-th
-        # highest/lowest sent score, while an unsent *absent* item is exactly
-        # 0, so the valid bounds are the sent ones pushed out to include 0.
-        kth_highest[node_index] = max(0.0, top[-1][1]) if len(top) == k else 0.0
-        kth_lowest[node_index] = min(0.0, bottom[-1][1]) if len(bottom) == k else 0.0
-        for item, score in set(top) | set(bottom):
-            reported.setdefault(item, {})[node_index] = score
-            sent_by_node[node_index].add(item)
-            round1_pairs += 1
-    pairs_per_round.append(round1_pairs)
-
-    def bounds_round1(item: int) -> Tuple[float, float]:
-        tau_plus = 0.0
-        tau_minus = 0.0
-        item_scores = reported.get(item, {})
-        for node_index in range(num_nodes):
-            if node_index in item_scores:
-                tau_plus += item_scores[node_index]
-                tau_minus += item_scores[node_index]
-            else:
-                tau_plus += kth_highest[node_index]
-                tau_minus += kth_lowest[node_index]
-        return tau_plus, tau_minus
-
-    taus = [magnitude_lower_bound(*bounds_round1(item)) for item in reported]
-    t1 = kth_largest(taus, k)
-
-    # ------------------------------------------------------------- Round 2
-    threshold = t1 / num_nodes
-    round2_pairs = 0
-    for node_index, scores in enumerate(node_scores):
-        for item, score in scores.items():
-            if item in sent_by_node[node_index]:
-                continue  # optimisation: already sent in round 1
-            if abs(score) > threshold:
-                reported.setdefault(item, {})[node_index] = score
-                sent_by_node[node_index].add(item)
-                round2_pairs += 1
-    pairs_per_round.append(round2_pairs)
-
-    def bounds_round2(item: int) -> Tuple[float, float]:
-        tau_plus = 0.0
-        tau_minus = 0.0
-        item_scores = reported.get(item, {})
-        for node_index in range(num_nodes):
-            if node_index in item_scores:
-                tau_plus += item_scores[node_index]
-                tau_minus += item_scores[node_index]
-            else:
-                tau_plus += threshold
-                tau_minus += -threshold
-        return tau_plus, tau_minus
-
-    refined = {item: bounds_round2(item) for item in reported}
-    t2 = kth_largest(
-        [magnitude_lower_bound(tau_plus, tau_minus) for tau_plus, tau_minus in refined.values()],
-        k,
-    )
-    candidates = [
-        item
-        for item, (tau_plus, tau_minus) in refined.items()
-        if max(abs(tau_plus), abs(tau_minus)) >= t2
-    ]
-
-    # ------------------------------------------------------------- Round 3
-    round3_pairs = 0
-    exact: Dict[int, float] = {}
-    for item in candidates:
-        total = 0.0
-        for node_index, scores in enumerate(node_scores):
-            if item in scores:
-                if item not in sent_by_node[node_index]:
-                    round3_pairs += 1  # only unsent scores travel in round 3
-                total += scores[item]
-        exact[item] = total
-    pairs_per_round.append(round3_pairs)
-
-    top = heapq.nlargest(k, exact.items(), key=lambda pair: (abs(pair[1]), -pair[0]))
-    return SignedTputResult(
-        top_k={item: value for item, value in top},
-        thresholds=(t1, t2),
-        pairs_sent_per_round=pairs_per_round,
-        candidate_set_size=len(candidates),
-    )

@@ -1,136 +1,21 @@
-"""Classic TPUT: three-phase uniform-threshold distributed top-k.
+"""The TPUT threshold helper shared by H-WTopk.
 
-TPUT [7] finds the ``k`` items of largest *aggregate* (summed) score across
-``m`` nodes, assuming all scores are non-negative:
-
-1. every node sends its local top-``k``; the coordinator computes partial sums
-   and takes the ``k``-th largest partial sum ``tau`` as a lower bound on the
-   ``k``-th largest aggregate;
-2. every node sends every item whose local score exceeds ``tau / m``; the
-   candidate set ``R`` is pruned with refined upper bounds;
-3. the coordinator fetches the exact remaining scores of items in ``R`` and
-   returns the exact top-``k``.
-
-This implementation is the substrate/baseline version (the paper's H-WTopk is
-the signed-score variant in :mod:`repro.topk.signed_tput`) and is also used to
-cross-check the signed variant on non-negative inputs.
+TPUT [7] (Cao & Wang, PODC'04) finds the ``k`` items of largest aggregate
+score across ``m`` nodes in three rounds; after rounds 1 and 2 the coordinator
+takes the ``k``-th largest (partial or bound) score as its pruning threshold.
+The paper's H-WTopk (:mod:`repro.algorithms.hwtopk`) runs the signed-score
+variant of those rounds as MapReduce jobs and computes both thresholds, ``T1``
+and ``T2``, with :func:`kth_largest`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import List
 
-from repro.errors import InvalidParameterError, TopKError
+from repro.errors import InvalidParameterError
 
-__all__ = ["TputResult", "tput_topk"]
-
-
-@dataclass
-class TputResult:
-    """Result of a TPUT run.
-
-    Attributes:
-        top_k: the exact top-``k`` items by aggregate score, as a mapping.
-        pairs_sent_per_round: number of (item, score) pairs sent to the
-            coordinator in each of the three rounds.
-        candidate_set_size: size of the pruned candidate set after round 2.
-    """
-
-    top_k: Dict[int, float]
-    pairs_sent_per_round: List[int] = field(default_factory=list)
-    candidate_set_size: int = 0
-
-    @property
-    def total_pairs_sent(self) -> int:
-        """Total communication in pairs across all rounds."""
-        return sum(self.pairs_sent_per_round)
-
-
-def _validate(node_scores: Sequence[Mapping[int, float]], k: int) -> None:
-    if k < 1:
-        raise InvalidParameterError(f"k must be positive, got {k}")
-    if not node_scores:
-        raise InvalidParameterError("need at least one node")
-    for scores in node_scores:
-        for item, score in scores.items():
-            if score < 0:
-                raise TopKError(
-                    f"classic TPUT requires non-negative scores; item {item} has {score}"
-                )
-
-
-def tput_topk(node_scores: Sequence[Mapping[int, float]], k: int) -> TputResult:
-    """Run classic TPUT over in-memory per-node score maps.
-
-    Args:
-        node_scores: one mapping of item to (non-negative) local score per node.
-        k: number of items to return.
-
-    Returns:
-        :class:`TputResult` with the exact top-``k`` aggregate scores.
-    """
-    _validate(node_scores, k)
-    num_nodes = len(node_scores)
-    pairs_per_round: List[int] = []
-
-    # Round 1: local top-k from every node.
-    partial_sums: Dict[int, float] = {}
-    seen_by_node: List[set] = [set() for _ in range(num_nodes)]
-    round1_pairs = 0
-    for node_index, scores in enumerate(node_scores):
-        local_top = heapq.nlargest(k, scores.items(), key=lambda item: (item[1], -item[0]))
-        for item, score in local_top:
-            partial_sums[item] = partial_sums.get(item, 0.0) + score
-            seen_by_node[node_index].add(item)
-            round1_pairs += 1
-    pairs_per_round.append(round1_pairs)
-
-    tau1 = kth_largest(list(partial_sums.values()), k)
-
-    # Round 2: every node sends items with local score > tau1 / m.
-    threshold = tau1 / num_nodes
-    round2_pairs = 0
-    for node_index, scores in enumerate(node_scores):
-        for item, score in scores.items():
-            if item in seen_by_node[node_index]:
-                continue
-            if score > threshold:
-                partial_sums[item] = partial_sums.get(item, 0.0) + score
-                seen_by_node[node_index].add(item)
-                round2_pairs += 1
-    pairs_per_round.append(round2_pairs)
-
-    # Refine: upper bound of an item adds threshold for every node that has
-    # not reported it; prune items whose upper bound is below the new tau.
-    tau2 = kth_largest(list(partial_sums.values()), k)
-    candidates = []
-    for item, partial in partial_sums.items():
-        missing = sum(1 for node_index in range(num_nodes) if item not in seen_by_node[node_index])
-        upper_bound = partial + missing * threshold
-        if upper_bound >= tau2:
-            candidates.append(item)
-
-    # Round 3: fetch exact scores for the candidates.
-    round3_pairs = 0
-    exact: Dict[int, float] = {}
-    for item in candidates:
-        total = 0.0
-        for node_index, scores in enumerate(node_scores):
-            if item in scores:
-                if item not in seen_by_node[node_index]:
-                    round3_pairs += 1
-                total += scores[item]
-        exact[item] = total
-    pairs_per_round.append(round3_pairs)
-
-    top = heapq.nlargest(k, exact.items(), key=lambda item: (item[1], -item[0]))
-    return TputResult(
-        top_k=dict(top),
-        pairs_sent_per_round=pairs_per_round,
-        candidate_set_size=len(candidates),
-    )
+__all__ = ["kth_largest"]
 
 
 def kth_largest(values: List[float], k: int) -> float:

@@ -17,6 +17,7 @@ from repro.core.histogram import WaveletHistogram
 from repro.core.topk_coefficients import top_k_coefficients
 from repro.errors import InvalidParameterError
 from repro.mapreduce.counters import CounterNames
+from repro.service import RuntimeProfile
 
 K = 15
 EPSILON = 0.02
@@ -42,7 +43,7 @@ class TestSendSketch:
     def test_finds_dominant_coefficients(self, approx_setup):
         dataset, hdfs, cluster, reference, ideal = approx_setup
         result = SendSketch(dataset.u, K, bytes_per_level=16 * 1024).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         true_top = top_k_coefficients(sparse_haar_transform(reference.counts, dataset.u), 3)
         assert set(true_top) & set(result.histogram.coefficients)
@@ -50,7 +51,7 @@ class TestSendSketch:
     def test_sse_within_small_factor_of_ideal(self, approx_setup):
         dataset, hdfs, cluster, reference, ideal = approx_setup
         result = SendSketch(dataset.u, K, bytes_per_level=16 * 1024).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         assert result.histogram.sse(reference) <= 5 * ideal.sse(reference)
 
@@ -61,7 +62,7 @@ class TestSendSketch:
 
         bytes_per_level = 4096
         result = SendSketch(dataset.u, K, bytes_per_level=bytes_per_level).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         max_sketch_bytes = WaveletGcsSketch(dataset.u, bytes_per_level=bytes_per_level).total_cells * 12
         num_splits = result.rounds[0].num_mappers
@@ -70,7 +71,7 @@ class TestSendSketch:
     def test_counts_sketch_updates(self, approx_setup):
         dataset, hdfs, cluster, _, _ = approx_setup
         result = SendSketch(dataset.u, K, bytes_per_level=4096).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         log_u = dataset.u.bit_length() - 1
         updates = result.counters.get(CounterNames.SKETCH_UPDATE_OPS)
@@ -88,7 +89,7 @@ class TestSamplingAlgorithms:
     def test_sse_within_factor_of_ideal(self, approx_setup, algorithm_class):
         dataset, hdfs, cluster, reference, ideal = approx_setup
         result = algorithm_class(dataset.u, K, epsilon=EPSILON).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         assert result.histogram.sse(reference) <= 3 * ideal.sse(reference)
 
@@ -96,7 +97,7 @@ class TestSamplingAlgorithms:
     def test_single_round_and_sampled_scan(self, approx_setup, algorithm_class):
         dataset, hdfs, cluster, _, _ = approx_setup
         result = algorithm_class(dataset.u, K, epsilon=EPSILON).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         assert result.num_rounds == 1
         # Sampling methods never scan the full input.
@@ -116,13 +117,13 @@ class TestSamplingAlgorithms:
         """Basic-S ships the whole sample; the improved schemes ship (much) less."""
         dataset, hdfs, cluster, _, _ = approx_setup
         basic = BasicSampling(dataset.u, K, epsilon=EPSILON, aggregate_in_mapper=False).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         improved = ImprovedSampling(dataset.u, K, epsilon=EPSILON).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         two_level = TwoLevelSampling(dataset.u, K, epsilon=EPSILON).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         assert improved.rounds[0].shuffle_bytes < basic.rounds[0].shuffle_bytes
         assert two_level.rounds[0].shuffle_bytes < basic.rounds[0].shuffle_bytes
@@ -139,20 +140,20 @@ class TestSamplingAlgorithms:
         cluster = paper_cluster(split_size_bytes=dataset.size_bytes // 64)
         epsilon = 0.005
         improved = ImprovedSampling(dataset.u, K, epsilon=epsilon).run(
-            hdfs, "/data/many-splits", cluster=cluster
+            hdfs, "/data/many-splits", profile=RuntimeProfile(cluster=cluster)
         )
         two_level = TwoLevelSampling(dataset.u, K, epsilon=epsilon).run(
-            hdfs, "/data/many-splits", cluster=cluster
+            hdfs, "/data/many-splits", profile=RuntimeProfile(cluster=cluster)
         )
         assert two_level.rounds[0].shuffle_bytes < improved.rounds[0].shuffle_bytes
 
     def test_basic_aggregation_flag_changes_pair_count_not_answer(self, approx_setup):
         dataset, hdfs, cluster, reference, ideal = approx_setup
         aggregated = BasicSampling(dataset.u, K, epsilon=EPSILON, aggregate_in_mapper=True).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         raw = BasicSampling(dataset.u, K, epsilon=EPSILON, aggregate_in_mapper=False).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         assert aggregated.counters.get(CounterNames.SHUFFLE_RECORDS) <= (
             raw.counters.get(CounterNames.SHUFFLE_RECORDS)
@@ -163,7 +164,7 @@ class TestSamplingAlgorithms:
         """NULL markers are 4 bytes, exact pairs 8 bytes, so bytes < 8 * pairs."""
         dataset, hdfs, cluster, _, _ = approx_setup
         result = TwoLevelSampling(dataset.u, K, epsilon=0.05).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         pairs = result.counters.get(CounterNames.SHUFFLE_RECORDS)
         assert pairs > 0
@@ -173,11 +174,11 @@ class TestSamplingAlgorithms:
         dataset, hdfs, cluster, _, _ = approx_setup
         small_threshold = TwoLevelSampling(dataset.u, K, epsilon=EPSILON,
                                            threshold_scale=0.25).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         large_threshold = TwoLevelSampling(dataset.u, K, epsilon=EPSILON,
                                            threshold_scale=4.0).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         # A lower threshold emits more exact counts, i.e. more bytes.
         assert small_threshold.rounds[0].shuffle_bytes >= large_threshold.rounds[0].shuffle_bytes
@@ -187,10 +188,12 @@ class TestRelativeBehaviour:
     def test_approximations_are_cheaper_than_exact(self, approx_setup):
         """The Section 5 headline: sampling needs a fraction of Send-V's cost."""
         dataset, hdfs, cluster, _, _ = approx_setup
-        send_v = SendV(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
-        hwtopk = HWTopk(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        send_v = SendV(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
+        hwtopk = HWTopk(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         two_level = TwoLevelSampling(dataset.u, K, epsilon=EPSILON).run(
-            hdfs, "/data/input", cluster=cluster
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster)
         )
         assert two_level.communication_bytes < hwtopk.communication_bytes
         assert hwtopk.communication_bytes < send_v.communication_bytes
@@ -198,13 +201,13 @@ class TestRelativeBehaviour:
     def test_results_are_reproducible_given_seed(self, approx_setup):
         dataset, hdfs, cluster, _, _ = approx_setup
         first = TwoLevelSampling(dataset.u, K, epsilon=EPSILON).run(
-            hdfs, "/data/input", cluster=cluster, seed=5
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster, seed=5)
         )
         second = TwoLevelSampling(dataset.u, K, epsilon=EPSILON).run(
-            hdfs, "/data/input", cluster=cluster, seed=5
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster, seed=5)
         )
         third = TwoLevelSampling(dataset.u, K, epsilon=EPSILON).run(
-            hdfs, "/data/input", cluster=cluster, seed=6
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster, seed=6)
         )
         assert first.histogram.coefficients == second.histogram.coefficients
         assert first.communication_bytes == second.communication_bytes

@@ -60,7 +60,7 @@ class TestPublicApi:
         )
         from repro.experiments import figures  # noqa: F401
         from repro.sketches import WaveletGcsSketch  # noqa: F401
-        from repro.topk import signed_tput_topk  # noqa: F401
+        from repro.topk import magnitude_lower_bound  # noqa: F401
 
     def test_algorithm_names_are_the_papers(self):
         from repro.algorithms import (

@@ -9,6 +9,7 @@ from repro.core.haar import sparse_haar_transform
 from repro.core.histogram import WaveletHistogram
 from repro.core.topk_coefficients import top_k_coefficients
 from repro.mapreduce.counters import CounterNames
+from repro.service import RuntimeProfile
 
 K = 20
 
@@ -43,19 +44,22 @@ def _assert_same_topk(actual, expected):
 class TestSendV:
     def test_matches_centralized_topk(self, exact_setup):
         dataset, hdfs, cluster, _, expected = exact_setup
-        result = SendV(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = SendV(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         _assert_same_topk(result.histogram.coefficients, expected)
 
     def test_single_round_and_metrics(self, exact_setup):
         dataset, hdfs, cluster, _, _ = exact_setup
-        result = SendV(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = SendV(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         assert result.num_rounds == 1
         assert result.communication_bytes > 0
         assert result.simulated_time_s > 0
 
     def test_communication_counts_every_distinct_key_per_split(self, exact_setup):
         dataset, hdfs, cluster, _, _ = exact_setup
-        result = SendV(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = SendV(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         shuffled_pairs = result.counters.get(CounterNames.SHUFFLE_RECORDS)
         # Every split ships one pair per distinct key it holds, 8 bytes each.
         assert result.rounds[0].shuffle_bytes == shuffled_pairs * 8
@@ -63,13 +67,15 @@ class TestSendV:
 
     def test_sse_equals_ideal(self, exact_setup):
         dataset, hdfs, cluster, reference, _ = exact_setup
-        result = SendV(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = SendV(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         ideal = WaveletHistogram.from_frequency_vector(reference, K).sse(reference)
         assert result.histogram.sse(reference) == pytest.approx(ideal, rel=1e-9)
 
     def test_combiner_variant_gives_same_answer(self, exact_setup):
         dataset, hdfs, cluster, _, expected = exact_setup
-        result = SendV(dataset.u, K, use_combiner=True).run(hdfs, "/data/input", cluster=cluster)
+        result = SendV(dataset.u, K, use_combiner=True).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         _assert_same_topk(result.histogram.coefficients, expected)
 
     @pytest.mark.parametrize("num_reducers", [2, 3, 7])
@@ -78,10 +84,11 @@ class TestSendV:
         """Sharded aggregation: the multi-reducer top-k equals the 1-reducer run
         bit for bit, on both data planes."""
         dataset, hdfs, cluster, _, _ = exact_setup
-        baseline = SendV(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        baseline = SendV(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         for data_plane in ("batch", "records"):
             sharded = SendV(dataset.u, K, num_reducers=num_reducers).run(
-                hdfs, "/data/input", cluster=cluster, data_plane=data_plane)
+                hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster, data_plane=data_plane))
             assert (sharded.histogram.coefficients
                     == baseline.histogram.coefficients)
             assert sharded.rounds[0].num_reducers == num_reducers
@@ -92,7 +99,7 @@ class TestSendV:
     def test_multi_reducer_distributes_the_key_groups(self, exact_setup):
         dataset, hdfs, cluster, _, _ = exact_setup
         result = SendV(dataset.u, K, num_reducers=4).run(hdfs, "/data/input",
-                                                         cluster=cluster)
+                                                         profile=RuntimeProfile(cluster=cluster))
         # Every reducer received a share of the keys: the emitted partial
         # vectors jointly cover every distinct key exactly once.
         emitted_keys = [key for key, _ in result.rounds[0].output]
@@ -109,7 +116,8 @@ class TestSendV:
 class TestSendCoef:
     def test_matches_centralized_topk(self, exact_setup):
         dataset, hdfs, cluster, _, expected = exact_setup
-        result = SendCoef(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = SendCoef(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         _assert_same_topk(result.histogram.coefficients, expected)
 
     def test_ships_more_pairs_than_send_v_on_large_domains(self):
@@ -122,25 +130,30 @@ class TestSendCoef:
         hdfs = HDFS()
         dataset.to_hdfs(hdfs, "/data/input")
         cluster = paper_cluster(split_size_bytes=dataset.size_bytes // 8)
-        send_v = SendV(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
-        send_coef = SendCoef(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        send_v = SendV(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
+        send_coef = SendCoef(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         assert send_coef.communication_bytes > send_v.communication_bytes
 
     def test_counts_transform_work(self, exact_setup):
         dataset, hdfs, cluster, _, _ = exact_setup
-        result = SendCoef(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = SendCoef(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         assert result.counters.get(CounterNames.WAVELET_TRANSFORM_OPS) > 0
 
 
 class TestHWTopk:
     def test_matches_centralized_topk(self, exact_setup):
         dataset, hdfs, cluster, _, expected = exact_setup
-        result = HWTopk(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = HWTopk(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         _assert_same_topk(result.histogram.coefficients, expected)
 
     def test_uses_three_rounds(self, exact_setup):
         dataset, hdfs, cluster, _, _ = exact_setup
-        result = HWTopk(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = HWTopk(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         assert result.num_rounds == 3
         assert [round_result.job_name for round_result in result.rounds] == [
             f"H-WTopk-round{i}(k={K})" for i in (1, 2, 3)
@@ -148,20 +161,24 @@ class TestHWTopk:
 
     def test_thresholds_and_candidates_reported(self, exact_setup):
         dataset, hdfs, cluster, _, _ = exact_setup
-        result = HWTopk(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = HWTopk(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         assert result.details["T1"] >= 0
         assert result.details["T2"] >= result.details["T1"]
         assert result.details["candidate_set_size"] >= K
 
     def test_communicates_less_than_send_v(self, exact_setup):
         dataset, hdfs, cluster, _, _ = exact_setup
-        send_v = SendV(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
-        hwtopk = HWTopk(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        send_v = SendV(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
+        hwtopk = HWTopk(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         assert hwtopk.communication_bytes < send_v.communication_bytes
 
     def test_round_one_ships_at_most_2km_pairs(self, exact_setup):
         dataset, hdfs, cluster, _, _ = exact_setup
-        result = HWTopk(dataset.u, K).run(hdfs, "/data/input", cluster=cluster)
+        result = HWTopk(dataset.u, K).run(
+            hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
         round1 = result.rounds[0]
         m = result.details["num_splits"]
         assert round1.counters.get(CounterNames.SHUFFLE_RECORDS) <= 2 * K * m
@@ -172,7 +189,8 @@ class TestHWTopk:
             expected = top_k_coefficients(
                 sparse_haar_transform(reference.counts, dataset.u), k
             )
-            result = HWTopk(dataset.u, k).run(hdfs, "/data/input", cluster=cluster)
+            result = HWTopk(dataset.u, k).run(
+                hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster))
             _assert_same_topk(result.histogram.coefficients, expected)
 
     def test_single_split_dataset(self):
@@ -187,7 +205,8 @@ class TestHWTopk:
         cluster = paper_cluster(split_size_bytes=10 * dataset.size_bytes)
         reference = dataset.frequency_vector()
         expected = top_k_coefficients(sparse_haar_transform(reference.counts, dataset.u), 10)
-        result = HWTopk(dataset.u, 10).run(hdfs, "/data/one", cluster=cluster)
+        result = HWTopk(dataset.u, 10).run(
+            hdfs, "/data/one", profile=RuntimeProfile(cluster=cluster))
         _assert_same_topk(result.histogram.coefficients, expected)
         assert result.details["num_splits"] == 1
 
@@ -203,5 +222,6 @@ class TestHWTopk:
         cluster = paper_cluster(split_size_bytes=dataset.size_bytes // 4)
         reference = dataset.frequency_vector()
         expected = top_k_coefficients(sparse_haar_transform(reference.counts, dataset.u), 15)
-        result = HWTopk(dataset.u, 15).run(hdfs, "/data/uniform", cluster=cluster)
+        result = HWTopk(dataset.u, 15).run(
+            hdfs, "/data/uniform", profile=RuntimeProfile(cluster=cluster))
         _assert_same_topk(result.histogram.coefficients, expected)

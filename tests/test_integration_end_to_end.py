@@ -22,6 +22,7 @@ from repro import (
 )
 from repro.algorithms import BasicSampling
 from repro.data.generators import ZipfDatasetGenerator
+from repro.service import RuntimeProfile
 
 K = 20
 EPSILON = 0.02
@@ -44,7 +45,8 @@ def stack():
         "Improved-S": ImprovedSampling(dataset.u, K, epsilon=EPSILON),
         "TwoLevel-S": TwoLevelSampling(dataset.u, K, epsilon=EPSILON),
     }
-    results = {name: algorithm.run(hdfs, "/data/input", cluster=cluster, seed=1)
+    results = {name: algorithm.run(
+        hdfs, "/data/input", profile=RuntimeProfile(cluster=cluster, seed=1))
                for name, algorithm in algorithms.items()}
     return dataset, reference, ideal, results
 

@@ -1,24 +1,11 @@
-"""Tests for the paper's signed, magnitude-ranked TPUT variant (repro.topk.signed_tput)."""
+"""Tests for the signed-TPUT magnitude bound (repro.topk.signed_tput)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
-from repro.topk.signed_tput import magnitude_lower_bound, signed_tput_topk
-from repro.topk.tput import tput_topk
-
-
-def brute_force_magnitude_topk(node_scores, k):
-    totals = {}
-    for scores in node_scores:
-        for item, score in scores.items():
-            totals[item] = totals.get(item, 0.0) + score
-    ranked = sorted(totals.items(), key=lambda pair: (-abs(pair[1]), pair[0]))
-    return dict(ranked[:k])
+from repro.topk.signed_tput import magnitude_lower_bound
 
 
 class TestMagnitudeLowerBound:
@@ -36,96 +23,3 @@ class TestMagnitudeLowerBound:
     def test_real_inversion_raises(self):
         with pytest.raises(InvalidParameterError):
             magnitude_lower_bound(1.0, 2.0)
-
-
-class TestSignedTputCorrectness:
-    def test_positive_and_negative_scores(self):
-        nodes = [
-            {1: 10.0, 2: -8.0, 3: 1.0},
-            {1: -2.0, 2: -7.0, 4: 3.0},
-            {3: 0.5, 4: 2.0, 5: -1.0},
-        ]
-        result = signed_tput_topk(nodes, 2)
-        assert result.top_k == brute_force_magnitude_topk(nodes, 2)
-        assert set(result.top_k) == {2, 1}  # aggregate -15 and +8
-
-    def test_most_negative_item_wins(self):
-        nodes = [{1: -50.0, 2: 20.0}, {1: -40.0, 2: 25.0}]
-        result = signed_tput_topk(nodes, 1)
-        assert result.top_k == {1: -90.0}
-
-    def test_cancellation_across_nodes(self):
-        """An item huge at every node but cancelling to ~0 must not make the top-k."""
-        nodes = [{1: 1000.0, 2: 30.0}, {1: -999.0, 2: 25.0}]
-        result = signed_tput_topk(nodes, 1)
-        assert set(result.top_k) == {2}
-
-    def test_matches_classic_tput_on_non_negative_inputs(self):
-        rng = np.random.default_rng(1)
-        nodes = []
-        for _ in range(8):
-            items = rng.choice(200, size=60, replace=False)
-            nodes.append({int(item): float(rng.integers(1, 100)) for item in items})
-        signed = signed_tput_topk(nodes, 5)
-        classic = tput_topk(nodes, 5)
-        assert sorted(signed.top_k.values(), reverse=True) == pytest.approx(
-            sorted(classic.top_k.values(), reverse=True)
-        )
-
-    def test_thresholds_are_reported_and_ordered(self):
-        rng = np.random.default_rng(2)
-        nodes = [
-            {int(i): float(rng.normal(scale=50)) for i in rng.choice(300, size=100, replace=False)}
-            for _ in range(10)
-        ]
-        result = signed_tput_topk(nodes, 10)
-        t1, t2 = result.thresholds
-        assert t1 >= 0
-        assert t2 >= t1  # refined threshold can only improve
-        assert result.candidate_set_size >= 10
-
-    def test_communication_is_reported_per_round(self):
-        nodes = [{1: 5.0, 2: -1.0}, {1: 4.0, 3: 2.0}]
-        result = signed_tput_topk(nodes, 1)
-        assert len(result.pairs_sent_per_round) == 3
-        assert result.total_pairs_sent == sum(result.pairs_sent_per_round)
-
-    def test_prunes_communication_on_skewed_data(self):
-        """With more than k globally heavy items, rounds 2 and 3 prune most pairs."""
-        rng = np.random.default_rng(3)
-        heavy = {7: 500.0, 13: -450.0, 21: 380.0, 40: -320.0, 55: 300.0,
-                 81: 280.0, 90: -260.0, 120: 240.0}
-        nodes = []
-        for _ in range(20):
-            scores = {item: float(rng.normal(scale=1.0)) for item in range(400)}
-            for item, value in heavy.items():
-                scores[item] = value + float(rng.normal())
-            nodes.append(scores)
-        result = signed_tput_topk(nodes, 5)
-        assert set(brute_force_magnitude_topk(nodes, 5)) == set(result.top_k)
-        # The heavy items dominate the thresholds, so the noise items are pruned
-        # and total communication stays far below shipping every local score.
-        assert result.total_pairs_sent < 0.25 * 20 * 400
-        assert result.thresholds[0] > 0
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            signed_tput_topk([], 3)
-        with pytest.raises(InvalidParameterError):
-            signed_tput_topk([{1: 1.0}], 0)
-
-    @given(st.lists(st.dictionaries(st.integers(1, 30),
-                                    st.floats(-100, 100, allow_nan=False),
-                                    min_size=1, max_size=12),
-                    min_size=1, max_size=6),
-           st.integers(min_value=1, max_value=4))
-    @settings(max_examples=60)
-    def test_matches_brute_force_property(self, nodes, k):
-        result = signed_tput_topk(nodes, k)
-        expected = brute_force_magnitude_topk(nodes, k)
-        totals = brute_force_magnitude_topk(nodes, 10**6)
-        for item, score in result.top_k.items():
-            assert score == pytest.approx(totals[item], abs=1e-9)
-        assert sorted((abs(v) for v in result.top_k.values()), reverse=True) == pytest.approx(
-            sorted((abs(v) for v in expected.values()), reverse=True), abs=1e-9
-        )

@@ -1,23 +1,11 @@
-"""Tests for classic TPUT (repro.topk.tput)."""
+"""Tests for TPUT's k-th largest threshold (repro.topk.tput)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import InvalidParameterError, TopKError
-from repro.topk.tput import kth_largest, tput_topk
-
-
-def brute_force_topk(node_scores, k):
-    totals = {}
-    for scores in node_scores:
-        for item, score in scores.items():
-            totals[item] = totals.get(item, 0.0) + score
-    ranked = sorted(totals.items(), key=lambda pair: (-pair[1], pair[0]))
-    return dict(ranked[:k])
+from repro.errors import InvalidParameterError
+from repro.topk.tput import kth_largest
 
 
 class TestKthLargest:
@@ -30,63 +18,3 @@ class TestKthLargest:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             kth_largest([1.0], 0)
-
-
-class TestTputCorrectness:
-    def test_simple_three_nodes(self):
-        nodes = [
-            {1: 10.0, 2: 5.0, 3: 1.0},
-            {1: 1.0, 2: 8.0, 4: 4.0},
-            {2: 2.0, 3: 6.0, 5: 9.0},
-        ]
-        result = tput_topk(nodes, 2)
-        assert result.top_k == brute_force_topk(nodes, 2)
-
-    def test_item_missing_from_some_nodes(self):
-        nodes = [{1: 100.0}, {2: 60.0}, {3: 55.0}, {2: 45.0}]
-        result = tput_topk(nodes, 2)
-        assert result.top_k == {2: 105.0, 1: 100.0}
-
-    def test_k_larger_than_item_count(self):
-        nodes = [{1: 3.0}, {2: 4.0}]
-        result = tput_topk(nodes, 10)
-        assert result.top_k == {1: 3.0, 2: 4.0}
-
-    def test_rejects_negative_scores(self):
-        with pytest.raises(TopKError):
-            tput_topk([{1: -1.0}], 1)
-
-    def test_rejects_empty_nodes_or_bad_k(self):
-        with pytest.raises(InvalidParameterError):
-            tput_topk([], 1)
-        with pytest.raises(InvalidParameterError):
-            tput_topk([{1: 1.0}], 0)
-
-    def test_communication_less_than_sending_everything(self):
-        rng = np.random.default_rng(0)
-        nodes = []
-        for _ in range(10):
-            items = rng.choice(500, size=200, replace=False)
-            nodes.append({int(item): float(rng.zipf(1.5)) for item in items})
-        result = tput_topk(nodes, 5)
-        total_pairs = sum(len(scores) for scores in nodes)
-        assert result.top_k == brute_force_topk(nodes, 5)
-        assert result.total_pairs_sent < total_pairs
-        assert len(result.pairs_sent_per_round) == 3
-
-    @given(st.lists(st.dictionaries(st.integers(1, 40), st.floats(0, 100, allow_nan=False),
-                                    min_size=1, max_size=15),
-                    min_size=1, max_size=6),
-           st.integers(min_value=1, max_value=5))
-    @settings(max_examples=60)
-    def test_matches_brute_force(self, nodes, k):
-        result = tput_topk(nodes, k)
-        expected = brute_force_topk(nodes, k)
-        # Scores of the returned items must match the true aggregates and the
-        # k-th returned score must equal the true k-th score (ties may swap items).
-        totals = brute_force_topk(nodes, 10**6)
-        for item, score in result.top_k.items():
-            assert score == pytest.approx(totals[item])
-        assert sorted(result.top_k.values(), reverse=True) == pytest.approx(
-            sorted(expected.values(), reverse=True)
-        )
